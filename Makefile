@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: all build vet test race fuzz bench e2e-restart e2e-repair e2e-lease e2e-failover e2e-scrub e2e-trace soak-smoke ci clean
+.PHONY: all build vet test race fuzz bench bench-layers e2e-restart e2e-repair e2e-lease e2e-failover e2e-scrub e2e-trace soak-smoke ci clean
 
 all: ci
 
@@ -48,6 +48,15 @@ fuzz:
 # before/after of verify-on-read chunk integrity (PR 9, gate <=3%).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) .
+
+# Per-layer micro-benchmarks of the chunk data plane, with -benchmem: wire
+# codec, chunk engines, rpc calls over the simulated fabric and TCP
+# loopback at 1 KiB / 64 KiB / 1 MiB (BenchmarkSimCall, BenchmarkTCPCall),
+# and a 64 KiB provider.get over TCP (BenchmarkProviderGet). B/op is the
+# rpc copy budget in numbers; the copy-budget tests gate it. The default
+# BENCHTIME=1x is a smoke run; measure with e.g. BENCHTIME=2s.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/wire/ ./internal/chunk/ ./internal/rpc/ ./internal/provider/
 
 # Crash-recovery end-to-end suite: kill -9 + restart of the version
 # manager and metadata providers, in-harness (mid-write-storm) and as real
@@ -109,7 +118,7 @@ SOAK_SECS ?= 10
 soak-smoke:
 	BLASTER_SOAK_SECS=$(SOAK_SECS) $(GO) test -race -count=1 -run 'TestSoakSmoke' -timeout 10m ./internal/blaster/
 
-ci: vet build race fuzz bench e2e-restart e2e-repair e2e-lease e2e-failover e2e-scrub e2e-trace soak-smoke
+ci: vet build race fuzz bench bench-layers e2e-restart e2e-repair e2e-lease e2e-failover e2e-scrub e2e-trace soak-smoke
 
 clean:
 	$(GO) clean -testcache

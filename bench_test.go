@@ -1,9 +1,10 @@
 // Macro-benchmarks: one per reconstructed figure/table of the BlobSeer
-// evaluation (see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured results). Each benchmark iteration runs
-// the full experiment at reduced scale and reports the headline metric via
-// b.ReportMetric; `go run ./cmd/blobseer-bench` prints the complete tables
-// at full scale.
+// evaluation (internal/bench/registry.go is the experiment index; each
+// result's Notes state the paper shape it reproduces, and the README's
+// performance sections record measured numbers). Each benchmark
+// iteration runs the full experiment at reduced scale and reports the
+// headline metric via b.ReportMetric; `go run ./cmd/blobseer-bench`
+// prints the complete tables at full scale.
 package blobseer_test
 
 import (

@@ -1,7 +1,8 @@
 // Command blobseer-bench reproduces the BlobSeer evaluation: it runs the
-// reconstructed experiments E1–E12 (see DESIGN.md for the index) on the
-// simulated testbed and prints one table/series per figure, in the same
-// form EXPERIMENTS.md records.
+// reconstructed experiments E1–E14 (internal/bench/registry.go is the
+// index) on the simulated testbed and prints one table/series per figure,
+// each with notes on the paper shape it reproduces; the README's
+// performance sections record measured results.
 //
 // Usage:
 //

@@ -8,8 +8,8 @@ import (
 
 // Smoke-run every experiment at tiny scale: the harness must complete and
 // produce non-empty, well-formed rows. Shape assertions that are robust at
-// tiny scale are checked inline; full-scale shape results are recorded in
-// EXPERIMENTS.md.
+// tiny scale are checked inline; full-scale runs print each experiment's
+// expected paper shape in its Notes (see registry.go for the index).
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are not -short")

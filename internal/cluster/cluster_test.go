@@ -1,6 +1,9 @@
 package cluster_test
 
 import (
+	"bytes"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -129,5 +132,55 @@ func TestNamedClients(t *testing.T) {
 		if _, err := c.NewClient(cluster.ClientOptions{}); err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
+	}
+}
+
+// TestTCPProvidersHeartbeatUnderBoundAddress runs a TCP deployment with
+// the default heartbeat timeout. Providers listen on "127.0.0.1:0", so a
+// heartbeat naming the configured address instead of the bound one would
+// register a phantom provider the manager keeps placing chunks on, while
+// the real providers age out. The live set must be exactly the bound
+// provider addresses, and writes must keep succeeding well past the
+// timeout, which only the heartbeats themselves can keep alive.
+func TestTCPProvidersHeartbeatUnderBoundAddress(t *testing.T) {
+	c, err := cluster.Start(cluster.Config{UseTCP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cli, err := c.NewClient(cluster.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cli.CreateBlob(4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const timeout = time.Second // cluster.Start's default HeartbeatTimeout
+	time.Sleep(3 * timeout)
+
+	want := append([]string(nil), c.ProviderAddrs()...)
+	sort.Strings(want)
+	var live []string
+	for _, p := range c.PM.Manager().Report() {
+		if p.Live {
+			live = append(live, p.Addr)
+		}
+	}
+	if !slices.Equal(live, want) {
+		t.Fatalf("live providers %v, want exactly the bound addresses %v", live, want)
+	}
+	data := make([]byte, 64<<10) // 16 chunks, spread over every provider
+	for i := range data {
+		data[i] = byte(i)
+	}
+	v, err := blob.Write(data, 0)
+	if err != nil {
+		t.Fatalf("write after %v of heartbeats: %v", 3*timeout, err)
+	}
+	got := make([]byte, len(data))
+	if _, err := blob.Read(v, got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v", err)
 	}
 }

@@ -61,12 +61,13 @@ func (r *PutReq) Decode(d *wire.Decoder) {
 	r.Key.Blob = d.U64()
 	r.Key.Version = d.U64()
 	r.Key.Index = d.U64()
-	r.Data = d.BytesCopy()
+	r.Data = d.Bytes()
 	r.Digest.Algo = d.U8()
 	r.Digest.Sum = d.U32()
 }
 
-// PutItem is one chunk within a batched put (digest semantics as PutReq).
+// PutItem is one chunk within a batched put (digest and aliasing
+// semantics as PutReq: a decoded Data points into the request frame).
 type PutItem struct {
 	Key    chunk.Key
 	Data   []byte
@@ -104,7 +105,7 @@ func (r *PutChunksReq) Decode(d *wire.Decoder) {
 		it.Key.Blob = d.U64()
 		it.Key.Version = d.U64()
 		it.Key.Index = d.U64()
-		it.Data = d.BytesCopy()
+		it.Data = d.Bytes()
 		it.Digest.Algo = d.U8()
 		it.Digest.Sum = d.U32()
 		r.Items = append(r.Items, it)
@@ -173,7 +174,10 @@ func (r *GetReq) Decode(d *wire.Decoder) {
 // it end-to-end, catching corruption in transit that the provider-side
 // check cannot see.
 type GetResp struct {
-	Found  bool
+	Found bool
+	// Data aliases the reply frame once decoded (wire.Decoder.Bytes). The
+	// frame belongs to this one call, so the bytes stay valid and
+	// unchanged for as long as the caller keeps them.
 	Data   []byte
 	Digest chunk.Digest
 }
@@ -189,7 +193,7 @@ func (r *GetResp) Encode(e *wire.Encoder) {
 // Decode implements wire.Message.
 func (r *GetResp) Decode(d *wire.Decoder) {
 	r.Found = d.Bool()
-	r.Data = d.BytesCopy()
+	r.Data = d.Bytes()
 	r.Digest.Algo = d.U8()
 	r.Digest.Sum = d.U32()
 }
@@ -232,7 +236,8 @@ func (r *GetChunksReq) Decode(d *wire.Decoder) {
 // provider quarantined it and serves no bytes; callers must treat the
 // replica as lost, not absent. Digests carry each served chunk's
 // recorded digest so the receiver re-verifies before trusting the bytes
-// (repair's source reads do exactly that).
+// (repair's source reads do exactly that). Decoded Data entries alias
+// the reply frame, as GetResp.Data does.
 type GetChunksResp struct {
 	Found   []bool
 	Corrupt []bool
@@ -263,7 +268,7 @@ func (r *GetChunksResp) Decode(d *wire.Decoder) {
 		r.Found = append(r.Found, ok)
 		r.Corrupt = append(r.Corrupt, d.Bool())
 		if ok {
-			r.Data = append(r.Data, d.BytesCopy())
+			r.Data = append(r.Data, d.Bytes())
 			r.Digests = append(r.Digests, chunk.Digest{Algo: d.U8(), Sum: d.U32()})
 		} else {
 			r.Data = append(r.Data, nil)
@@ -933,7 +938,10 @@ func (s *Server) StartHeartbeats(cli *rpc.Client, pmAddr string, interval time.D
 			case <-t.C:
 				used := s.store.Bytes()
 				hb := &HeartbeatReq{
-					Addr:   s.addr,
+					// The bound address, not the configured one: a
+					// provider listening on "host:0" must not register a
+					// second, undialable provider under that name.
+					Addr:   s.Addr(),
 					Chunks: uint64(s.store.Len()),
 					Bytes:  uint64(used),
 				}

@@ -3,6 +3,7 @@ package provider_test
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -238,5 +239,87 @@ func TestPutChunksPerChunkErrorIsolation(t *testing.T) {
 	}
 	if _, err := provider.GetChunk(cli, "dp", items[1].Key); err == nil {
 		t.Fatal("tombstoned chunk stored")
+	}
+}
+
+// startTCPProviderWithChunk serves a RAM provider over TCP loopback that
+// holds one chunk of the given size, returning a client, the provider's
+// address and the chunk's key.
+func startTCPProviderWithChunk(tb testing.TB, size int) (*rpc.Client, string, chunk.Key) {
+	tb.Helper()
+	network := rpc.NewTCPNetwork()
+	srv := provider.NewServer(network, "127.0.0.1:0", chunk.NewMemStore())
+	if err := srv.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(srv.Close)
+	cli := rpc.NewClient(network, 10*time.Second)
+	tb.Cleanup(cli.Close)
+	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := provider.PutChunk(cli, srv.Addr(), key, data); err != nil {
+		tb.Fatal(err)
+	}
+	return cli, srv.Addr(), key
+}
+
+// BenchmarkProviderGet measures a whole-chunk provider.get round trip of a
+// 64 KiB chunk over TCP loopback: the bulk-read data plane's unit of work,
+// provider-side verify and client-side end-to-end check included.
+func BenchmarkProviderGet(b *testing.B) {
+	const size = 64 << 10
+	cli, addr, key := startTCPProviderWithChunk(b, size)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := provider.GetChunk(cli, addr, key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestGetDataStaysIntactAcrossCalls checks the aliasing contract of
+// GetResp.Data: decoded in place from its reply frame, the bytes a caller
+// got back stay identical while the same connection carries many more
+// gets (and puts) of other chunks, sequential and concurrent.
+func TestGetDataStaysIntactAcrossCalls(t *testing.T) {
+	const size = 16 << 10
+	cli, addr, first := startTCPProviderWithChunk(t, size)
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i * 7) // the pattern startTCPProviderWithChunk stores
+	}
+	kept, err := provider.GetChunk(cli, addr, first)
+	if err != nil || !bytes.Equal(kept, want) {
+		t.Fatalf("first get: %v", err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				key := chunk.Key{Blob: 2, Version: uint64(g + 1), Index: uint64(i)}
+				data := bytes.Repeat([]byte{byte(0xA0 + g)}, size)
+				if err := provider.PutChunk(cli, addr, key, data); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := provider.GetChunk(cli, addr, key)
+				if err != nil || !bytes.Equal(got, data) {
+					t.Errorf("get %s: %v", key, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !bytes.Equal(kept, want) {
+		t.Fatal("GetResp.Data changed after later calls on the same connection")
 	}
 }

@@ -86,6 +86,11 @@ type clientConn struct {
 
 // Call invokes method at addr, encoding req and decoding the reply into
 // resp (which may be nil for calls with no interesting reply body).
+//
+// resp is decoded in place from the reply frame, which belongs to this
+// call alone: byte-slice fields a Decode fills with wire.Decoder.Bytes
+// alias that frame and stay valid (and unchanged) for as long as the
+// caller keeps them.
 func (c *Client) Call(addr, method string, req wire.Message, resp wire.Message) error {
 	return c.CallCtx(context.Background(), addr, method, req, resp)
 }
@@ -96,8 +101,7 @@ func (c *Client) Call(addr, method string, req wire.Message, resp wire.Message) 
 // context-free call on a SetRootTraces client originates a root trace
 // instead.
 func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Message, resp wire.Message) error {
-	payload := wire.Marshal(req)
-	raw, err := c.callRaw(ctx, addr, method, payload)
+	raw, err := c.call(ctx, addr, method, req)
 	if err != nil {
 		return err
 	}
@@ -107,7 +111,10 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 	return wire.Unmarshal(raw, resp)
 }
 
-func (c *Client) callRaw(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
+// call encodes req straight into a pooled request frame and runs it,
+// returning the reply body (a slice of the reply frame, owned by the
+// caller).
+func (c *Client) call(ctx context.Context, addr, method string, req wire.Message) ([]byte, error) {
 	obs := c.getObserver()
 	var act *trace.Active
 	if tr, roots := c.getTracer(); tr != nil {
@@ -121,12 +128,26 @@ func (c *Client) callRaw(ctx context.Context, addr, method string, payload []byt
 	if obs != nil {
 		start = time.Now()
 	}
-	raw, err := c.callRawAttempts(addr, method, payload, act.Context(), obs)
+
+	// Frame: kind | id | method | payload bytes | trace trailer. The id
+	// is patched per attempt (a redial gets a new one).
+	enc := getEncoder()
+	enc.PutU8(kindRequest)
+	enc.PutU64(0)
+	enc.PutString(method)
+	bodyAt := enc.BeginBytes()
+	req.Encode(enc)
+	enc.EndBytes(bodyAt)
+	payloadLen := enc.Len() - bodyAt
+	appendTraceTrailer(enc, act.Context())
+
+	raw, err := c.callAttempts(addr, method, enc, obs)
+	putEncoder(enc)
 	if obs != nil {
 		obs.ObserveCall(addr, method, time.Since(start), err)
 	}
 	if act != nil {
-		act.SetBytes(int64(len(payload) + len(raw)))
+		act.SetBytes(int64(payloadLen + len(raw)))
 		act.Finish(err)
 	}
 	return raw, err
@@ -136,13 +157,13 @@ func (c *Client) callRaw(ctx context.Context, addr, method string, payload []byt
 // the cached connection keeps dying before anything is sent.
 const maxRedials = 4
 
-func (c *Client) callRawAttempts(addr, method string, payload []byte, sc trace.SpanContext, obs ClientObserver) ([]byte, error) {
+func (c *Client) callAttempts(addr, method string, frame *wire.Encoder, obs ClientObserver) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		cc, err := c.getConn(addr)
 		if err != nil {
 			return nil, err
 		}
-		raw, err := cc.roundTrip(method, payload, sc, c.timeout)
+		raw, err := cc.roundTrip(method, frame, c.timeout)
 		if err != nil && !isAppError(err) {
 			// Transport-level failure: drop the cached connection so the
 			// next call re-dials (the peer may have restarted).
@@ -237,7 +258,10 @@ func (c *Client) Close() {
 // side-effect free.
 var errConnDead = errors.New("rpc: cached connection is dead")
 
-func (cc *clientConn) roundTrip(method string, payload []byte, sc trace.SpanContext, timeout time.Duration) ([]byte, error) {
+// roundTrip sends the request frame under a fresh id of this connection
+// and waits for its reply. frame is only read (and its id slot patched)
+// before Send returns, so a redial can send the same frame again.
+func (cc *clientConn) roundTrip(method string, frame *wire.Encoder, timeout time.Duration) ([]byte, error) {
 	cc.mu.Lock()
 	if cc.dead {
 		err := cc.deadErr
@@ -249,16 +273,8 @@ func (cc *clientConn) roundTrip(method string, payload []byte, sc trace.SpanCont
 	cc.pending[id] = call
 	cc.mu.Unlock()
 
-	enc := getEncoder()
-	enc.PutU8(kindRequest)
-	enc.PutU64(id)
-	enc.PutString(method)
-	enc.PutBytes(payload)
-	appendTraceTrailer(enc, sc)
-
-	err := cc.conn.Send(enc.Bytes())
-	putEncoder(enc)
-	if err != nil {
+	frame.SetU64(1, id) // right after the kind byte
+	if err := cc.conn.Send(frame.Bytes()); err != nil {
 		cc.mu.Lock()
 		delete(cc.pending, id)
 		cc.mu.Unlock()
@@ -323,10 +339,9 @@ func (cc *clientConn) readLoop() {
 		if !ok {
 			continue // timed out already
 		}
-		// Copy out of the transport buffer before handing to the caller.
-		b := make([]byte, len(body))
-		copy(b, body)
-		call.resp = b
+		// No copy: msg is a fresh frame nobody else references (see
+		// Conn), so the caller may keep slices of the body.
+		call.resp = body
 		switch status {
 		case statusOK:
 		case statusRedirect:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/wire"
 )
 
 // recordingObserver captures server-side observations for assertions.
@@ -72,12 +73,10 @@ func (o *recordingClientObserver) ObserveRedial(addr string) {
 func TestHandlerPanicRecovered(t *testing.T) {
 	network := NewSimNetwork(netsim.NewFabric(netsim.Config{}))
 	srv := NewServer(network, "s")
-	srv.Handle("explode", func(payload []byte) ([]byte, error) {
+	srv.Handle("explode", func(payload []byte, _ *wire.Encoder) error {
 		panic("kaboom")
 	})
-	srv.Handle("echo", func(payload []byte) ([]byte, error) {
-		return payload, nil
-	})
+	srv.Handle("echo", echoRaw)
 	obs := &recordingObserver{}
 	srv.SetObserver(obs)
 	if err := srv.Start(); err != nil {
@@ -121,8 +120,10 @@ func TestHandlerPanicRecovered(t *testing.T) {
 func TestObserverSeesTraffic(t *testing.T) {
 	network := NewSimNetwork(netsim.NewFabric(netsim.Config{}))
 	srv := NewServer(network, "s")
-	srv.Handle("double", func(payload []byte) ([]byte, error) {
-		return append(payload, payload...), nil
+	srv.Handle("double", func(payload []byte, resp *wire.Encoder) error {
+		resp.PutRaw(payload)
+		resp.PutRaw(payload)
+		return nil
 	})
 	sobs := &recordingObserver{}
 	srv.SetObserver(sobs)
@@ -165,7 +166,7 @@ func TestObserverSeesTraffic(t *testing.T) {
 func TestNoObserverNoClock(t *testing.T) {
 	network := NewSimNetwork(netsim.NewFabric(netsim.Config{}))
 	srv := NewServer(network, "s")
-	srv.Handle("echo", func(payload []byte) ([]byte, error) { return payload, nil })
+	srv.Handle("echo", echoRaw)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // notOwner is a handler error implementing the redirector contract, the
@@ -59,9 +61,9 @@ func TestGateRejectsBeforeHandler(t *testing.T) {
 	network := NewSimNetwork(nil)
 	srv := startEchoServer(t, network, "svc")
 	handlerRan := false
-	srv.Handle("gated", func(payload []byte) ([]byte, error) {
+	srv.Handle("gated", func(payload []byte, resp *wire.Encoder) error {
 		handlerRan = true
-		return payload, nil
+		return echoRaw(payload, resp)
 	})
 	srv.SetGate(func(method string) error {
 		if method == "gated" {
@@ -90,12 +92,12 @@ func TestGateRejectsBeforeHandler(t *testing.T) {
 func TestBackoffJitteredExponentialCapped(t *testing.T) {
 	b := Backoff{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
 	ceilings := []time.Duration{
-		10 * time.Millisecond,  // attempt 0
-		20 * time.Millisecond,  // 1
-		40 * time.Millisecond,  // 2
-		80 * time.Millisecond,  // 3
-		80 * time.Millisecond,  // 4: capped
-		80 * time.Millisecond,  // 10: still capped
+		10 * time.Millisecond, // attempt 0
+		20 * time.Millisecond, // 1
+		40 * time.Millisecond, // 2
+		80 * time.Millisecond, // 3
+		80 * time.Millisecond, // 4: capped
+		80 * time.Millisecond, // 10: still capped
 	}
 	attempts := []int{0, 1, 2, 3, 4, 10}
 	for i, attempt := range attempts {

@@ -12,7 +12,7 @@ import (
 func TestServerSurvivesGarbageFrames(t *testing.T) {
 	network := NewSimNetwork(nil)
 	srv := NewServer(network, "svc")
-	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
+	srv.Handle("echo", echoRaw)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func newEnvelope(msg []byte) []byte {
 
 func TestDuplicateHandlerPanics(t *testing.T) {
 	srv := NewServer(NewSimNetwork(nil), "svc")
-	srv.Handle("m", func(p []byte) ([]byte, error) { return nil, nil })
+	srv.Handle("m", echoRaw)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Handle did not panic")
 		}
 	}()
-	srv.Handle("m", func(p []byte) ([]byte, error) { return nil, nil })
+	srv.Handle("m", echoRaw)
 }
 
 func TestListenTwiceFails(t *testing.T) {

@@ -29,6 +29,24 @@ func (m *echoMsg) Decode(d *wire.Decoder) {
 	m.S = d.String()
 }
 
+// rawMsg is a wire.Message whose encoding is its bytes verbatim, for tests
+// that drive handlers with raw payloads (it is never decoded into).
+type rawMsg []byte
+
+func (m rawMsg) Encode(e *wire.Encoder) { e.PutRaw(m) }
+func (m rawMsg) Decode(*wire.Decoder)   {}
+
+// callRaw calls method with a raw payload and returns the raw reply body.
+func (c *Client) callRaw(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
+	return c.call(ctx, addr, method, rawMsg(payload))
+}
+
+// echoRaw is a Handler replying with its request payload verbatim.
+func echoRaw(payload []byte, resp *wire.Encoder) error {
+	resp.PutRaw(payload)
+	return nil
+}
+
 func startEchoServer(t *testing.T, network Network, addr string) *Server {
 	t.Helper()
 	srv := NewServer(network, addr)
@@ -38,9 +56,9 @@ func startEchoServer(t *testing.T, network Network, addr string) *Server {
 	HandleMsg(srv, "fail", func() *echoMsg { return &echoMsg{} }, func(req *echoMsg) (*echoMsg, error) {
 		return nil, fmt.Errorf("boom %d", req.N)
 	})
-	srv.Handle("slow", func(payload []byte) ([]byte, error) {
+	srv.Handle("slow", func(payload []byte, resp *wire.Encoder) error {
 		time.Sleep(200 * time.Millisecond)
-		return payload, nil
+		return echoRaw(payload, resp)
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -272,44 +290,39 @@ func TestFabricShapedLatency(t *testing.T) {
 	}
 }
 
-func BenchmarkSimCall(b *testing.B) {
-	network := NewSimNetwork(nil)
-	srv := NewServer(network, "svc")
-	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
+// callSizes are the payload sizes of the per-layer call benchmarks: a
+// small control message, a default-sized chunk, and a large chunk.
+var callSizes = []struct {
+	name string
+	n    int
+}{{"1KiB", 1 << 10}, {"64KiB", 64 << 10}, {"1MiB", 1 << 20}}
+
+// benchEcho measures echo round trips of every callSize over network:
+// each call carries the payload both ways.
+func benchEcho(b *testing.B, network Network, addr string) {
+	srv := NewServer(network, addr)
+	srv.Handle("echo", echoRaw)
 	if err := srv.Start(); err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
 	cli := NewClient(network, 10*time.Second)
 	defer cli.Close()
-	payload := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cli.callRaw(context.Background(), "svc", "echo", payload); err != nil {
-			b.Fatal(err)
-		}
+	for _, sz := range callSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			payload := make([]byte, sz.n)
+			b.SetBytes(int64(sz.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cli.callRaw(context.Background(), srv.Addr(), "echo", payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkTCPCall(b *testing.B) {
-	network := NewTCPNetwork()
-	srv := NewServer(network, "127.0.0.1:0")
-	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	cli := NewClient(network, 10*time.Second)
-	defer cli.Close()
-	payload := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cli.callRaw(context.Background(), srv.Addr(), "echo", payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSimCall(b *testing.B) { benchEcho(b, NewSimNetwork(nil), "svc") }
+
+func BenchmarkTCPCall(b *testing.B) { benchEcho(b, NewTCPNetwork(), "127.0.0.1:0") }

@@ -25,10 +25,17 @@ const (
 	statusRedirect = 2
 )
 
-// Handler processes one request payload and returns the response payload.
-// Returning an error sends a status-error frame; the error text crosses the
-// wire verbatim.
-type Handler func(payload []byte) ([]byte, error)
+// Handler processes one request payload and encodes its reply body
+// straight into resp, the pooled response frame, so a reply is copied once
+// on its way to the wire instead of being marshalled and then framed.
+//
+// payload aliases the inbound frame, which the server owns and never
+// reuses: a handler may keep slices of it. resp must not be retained past
+// the return. Returning an error (or panicking) discards whatever was
+// encoded into resp and sends a status-error frame instead; the error
+// text crosses the wire verbatim, and an error implementing
+// RedirectTarget() string becomes a redirect.
+type Handler func(payload []byte, resp *wire.Encoder) error
 
 // Server dispatches inbound requests to registered handlers. Each accepted
 // connection gets a reader goroutine; each request runs in its own
@@ -72,16 +79,17 @@ func (s *Server) Handle(method string, h Handler) {
 // HandleMsg registers a typed handler: req is decoded into a fresh value
 // produced by newReq, and the returned message is encoded as the response.
 func HandleMsg[Req wire.Message, Resp wire.Message](s *Server, method string, newReq func() Req, h func(Req) (Resp, error)) {
-	s.Handle(method, func(payload []byte) ([]byte, error) {
+	s.Handle(method, func(payload []byte, enc *wire.Encoder) error {
 		req := newReq()
 		if err := wire.Unmarshal(payload, req); err != nil {
-			return nil, err
+			return err
 		}
 		resp, err := h(req)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return wire.Marshal(resp), nil
+		resp.Encode(enc)
+		return nil
 	})
 }
 
@@ -172,11 +180,9 @@ func (s *Server) serveConn(conn Conn) {
 		// The request may carry a trace-context trailer after the payload;
 		// frames from older peers simply don't, and decode as trace-free.
 		sc := decodeTraceTrailer(dec)
-		// Copy the payload: it aliases msg, which we stop referencing, but
-		// the handler may retain it past this loop iteration.
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		go s.dispatch(conn, id, method, p, sc)
+		// No copy: msg is a fresh frame this loop never touches again
+		// (see Conn), so the handler owns payload outright.
+		go s.dispatch(conn, id, method, payload, sc)
 	}
 }
 
@@ -193,7 +199,16 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 	if obs != nil {
 		start = time.Now()
 	}
-	var result []byte
+
+	// Frame: kind | id | status | body bytes, the handler encoding the
+	// body in place.
+	enc := getEncoder()
+	enc.PutU8(kindResponse)
+	enc.PutU64(id)
+	statusAt := enc.Len()
+	enc.PutU8(statusOK)
+	bodyAt := enc.BeginBytes()
+
 	var err error
 	var panicked bool
 	if !ok {
@@ -203,14 +218,31 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 			err = gate(method)
 		}
 		if err == nil {
-			result, err, panicked = invoke(h, method, payload)
+			err, panicked = invoke(h, method, payload, enc)
 		}
 	}
-	if obs != nil {
-		out := len(result)
-		if err != nil {
-			out = len(err.Error())
+	body := enc.Len() - bodyAt
+	out := body
+	if err != nil {
+		// Roll back to the status byte: no partially encoded body may
+		// reach the wire ahead of the error.
+		enc.Truncate(statusAt)
+		body, out = 0, len(err.Error())
+		var rd redirector
+		if errors.As(err, &rd) {
+			// The handler knows who owns this request (a deposed leader
+			// pointing at its successor): ship the target as structure,
+			// not prose, so the client can follow it.
+			enc.PutU8(statusRedirect)
+			enc.PutString(rd.RedirectTarget())
+		} else {
+			enc.PutU8(statusError)
 		}
+		enc.PutString(err.Error())
+	} else {
+		enc.EndBytes(bodyAt)
+	}
+	if obs != nil {
 		dur := time.Since(start)
 		if tobs, isTraced := obs.(TracedServerObserver); isTraced && act.Sampled() {
 			tobs.ObserveRequestTraced(method, len(payload), out, dur, err, panicked, act.TraceID())
@@ -219,29 +251,10 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 		}
 	}
 	if act != nil {
-		act.SetBytes(int64(len(payload) + len(result)))
+		act.SetBytes(int64(len(payload) + body))
 		act.Finish(err)
 	}
 
-	enc := getEncoder()
-	enc.PutU8(kindResponse)
-	enc.PutU64(id)
-	var rd redirector
-	switch {
-	case err == nil:
-		enc.PutU8(statusOK)
-		enc.PutBytes(result)
-	case errors.As(err, &rd):
-		// The handler knows who owns this request (a deposed leader
-		// pointing at its successor): ship the target as structure, not
-		// prose, so the client can follow it.
-		enc.PutU8(statusRedirect)
-		enc.PutString(rd.RedirectTarget())
-		enc.PutString(err.Error())
-	default:
-		enc.PutU8(statusError)
-		enc.PutString(err.Error())
-	}
 	// A send failure means the connection died; the client observes it
 	// directly. Either way the frame buffer is recyclable afterwards.
 	_ = conn.Send(enc.Bytes())
@@ -251,18 +264,17 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 // invoke runs h, converting a panic into a status-error response instead of
 // letting it kill the process (and, with it, every connection the server
 // holds). The panic still reaches the log — it is a server bug — but one
-// poisoned request must not take down unrelated callers.
-func invoke(h Handler, method string, payload []byte) (result []byte, err error, panicked bool) {
+// poisoned request must not take down unrelated callers. The caller rolls
+// back whatever h encoded before failing.
+func invoke(h Handler, method string, payload []byte, enc *wire.Encoder) (err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
-			result = nil
 			err = fmt.Errorf("rpc: handler for %q panicked: %v", method, r)
 			log.Printf("rpc: recovered handler panic in %q: %v\n%s", method, r, debug.Stack())
 		}
 	}()
-	result, err = h(payload)
-	return result, err, false
+	return h(payload, enc), false
 }
 
 // Close stops the listener and tears down every open connection, then waits

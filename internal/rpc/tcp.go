@@ -55,47 +55,55 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
 
+// tcpConn frames messages with a 4-byte big-endian length. Reads go
+// through a bufio.Reader (one read syscall usually yields a whole small
+// frame). Writes go straight to the socket as a writev of header and
+// frame, so a frame is never copied in user space on its way out.
+//
+// Small frames were measured both ways: on loopback a single buffered
+// write of header plus frame ran 1–8 KiB echo calls up to a third faster
+// than writev, but neither repository benchmark workload (bulk-read, whose
+// requests are small, and durable-small-ops, whose frames are all small)
+// moved end to end, so there is one send path.
 type tcpConn struct {
-	c  net.Conn
-	r  *bufio.Reader
-	wm sync.Mutex
-	w  *bufio.Writer
+	c    net.Conn
+	r    *bufio.Reader
+	rhdr [4]byte // Recv's header scratch (Recv has one caller at a time)
+
+	wm   sync.Mutex  // guards the write-side scratch below
+	whdr [4]byte     // the frame's header
+	iov  [2][]byte   // header + frame, re-pointed per Send
+	bufs net.Buffers // the writev vector over iov (consumed by WriteTo)
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{
-		c: c,
-		r: bufio.NewReaderSize(c, 64<<10),
-		w: bufio.NewWriterSize(c, 64<<10),
-	}
+	return &tcpConn{c: c, r: bufio.NewReaderSize(c, 64<<10)}
 }
 
 func (t *tcpConn) Send(msg []byte) error {
 	if len(msg) > maxFrame {
 		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(msg))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
 	t.wm.Lock()
 	defer t.wm.Unlock()
-	if _, err := t.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := t.w.Write(msg); err != nil {
-		return err
-	}
-	return t.w.Flush()
+	binary.BigEndian.PutUint32(t.whdr[:], uint32(len(msg)))
+	t.iov = [2][]byte{t.whdr[:], msg}
+	t.bufs = t.iov[:]
+	// WriteTo loops until everything is written or the socket fails, and
+	// nils out each element as it completes, so msg is not retained.
+	_, err := t.bufs.WriteTo(t.c)
+	return err
 }
 
 func (t *tcpConn) Recv() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(t.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(t.r, t.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(t.rhdr[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("rpc: inbound frame of %d bytes exceeds limit", n)
 	}
+	// A fresh buffer per frame: the receiver owns it (see Conn).
 	msg := make([]byte, n)
 	if _, err := io.ReadFull(t.r, msg); err != nil {
 		return nil, err

@@ -31,6 +31,13 @@ var ErrUnknownAddr = errors.New("rpc: no listener at address")
 // Conn is a bidirectional, message-oriented connection. Send and Recv are
 // each safe for one concurrent caller; Send is additionally safe for many
 // (it serializes internally).
+//
+// Frame ownership: Send is done with msg when it returns, so the caller
+// may reuse the buffer at once. Every frame Recv returns is a fresh
+// allocation that nothing else references; the receiver owns it and may
+// decode it in place and hand out slices of it without copying. The rpc
+// layer relies on both halves: it recycles send buffers, and it never
+// copies a received payload (wire.Decoder.Bytes aliases the frame).
 type Conn interface {
 	Send(msg []byte) error
 	Recv() ([]byte, error)
@@ -185,7 +192,8 @@ func (c *simConn) Send(msg []byte) error {
 	if err != nil {
 		return err
 	}
-	// Copy: the caller may reuse its buffer after Send returns.
+	// Copy: the caller may reuse its buffer after Send returns, and the
+	// receiver must get a frame of its own.
 	cp := make([]byte, len(msg))
 	copy(cp, msg)
 

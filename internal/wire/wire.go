@@ -47,6 +47,31 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset truncates the buffer, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Truncate discards everything encoded after the first n bytes, retaining
+// capacity. It is how a frame builder rolls back a partially encoded body.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
+// SetU64 overwrites the little-endian uint64 at offset off, which must
+// lie within the bytes already encoded: a field filled in after the fact.
+func (e *Encoder) SetU64(off int, v uint64) {
+	binary.LittleEndian.PutUint64(e.buf[off:off+8], v)
+}
+
+// BeginBytes opens a length-prefixed byte field whose contents the caller
+// encodes in place, instead of building them elsewhere and copying them
+// in with PutBytes. It returns the offset at which the contents start;
+// EndBytes(start) closes the field. The result decodes with Bytes.
+func (e *Encoder) BeginBytes() (start int) {
+	e.PutU32(0)
+	return len(e.buf)
+}
+
+// EndBytes closes the field BeginBytes opened at start, filling in its
+// length prefix with everything encoded since.
+func (e *Encoder) EndBytes(start int) {
+	binary.LittleEndian.PutUint32(e.buf[start-4:start], uint32(len(e.buf)-start))
+}
+
 // PutU8 appends a single byte.
 func (e *Encoder) PutU8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -83,8 +108,11 @@ func (e *Encoder) PutF64(v float64) { e.PutU64(math.Float64bits(v)) }
 // PutBytes appends a u32 length prefix followed by the raw bytes.
 func (e *Encoder) PutBytes(b []byte) {
 	e.PutU32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	e.PutRaw(b)
 }
+
+// PutRaw appends b with no length prefix.
+func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
 
 // PutString appends a u32 length prefix followed by the string bytes.
 func (e *Encoder) PutString(s string) {
@@ -100,7 +128,8 @@ type Decoder struct {
 	err error
 }
 
-// NewDecoder returns a Decoder over buf. The Decoder does not copy buf.
+// NewDecoder returns a Decoder over buf. The Decoder does not copy buf:
+// slices returned by Bytes alias it.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
 // Err returns the first error encountered while decoding, or nil.
@@ -123,7 +152,7 @@ func (d *Decoder) take(n int) []byte {
 		d.fail()
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b
 }
@@ -173,8 +202,14 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 // F64 decodes an IEEE-754 float64.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// Bytes decodes a u32-length-prefixed byte slice. The returned slice
-// aliases the Decoder's buffer; callers that retain it must copy.
+// Bytes decodes a u32-length-prefixed byte slice without copying it.
+//
+// Aliasing: the returned slice points into the Decoder's buffer and is
+// only as stable as that buffer. Its capacity is capped at its length, so
+// appending to it reallocates rather than overwriting the fields that
+// follow it. Decoding an RPC frame in place is safe because every frame a
+// transport delivers is a fresh allocation owned by the receiver (see
+// rpc.Conn); a caller decoding a buffer it will reuse must use BytesCopy.
 func (d *Decoder) Bytes() []byte {
 	n := d.U32()
 	if d.err != nil {

@@ -120,6 +120,50 @@ func TestBytesCopyIndependence(t *testing.T) {
 	}
 }
 
+// TestInPlaceFraming covers what a frame builder does: encode a byte
+// field in place, patch a header field, and roll a failed body back.
+func TestInPlaceFraming(t *testing.T) {
+	enc := NewEncoder(0)
+	enc.PutU64(0) // id, patched below
+	start := enc.BeginBytes()
+	enc.PutU32(7)
+	enc.PutRaw([]byte("body"))
+	enc.EndBytes(start)
+	enc.SetU64(0, 42)
+	mark := enc.Len()
+	enc.PutString("half-encoded")
+	enc.Truncate(mark)
+
+	dec := NewDecoder(enc.Bytes())
+	if id := dec.U64(); id != 42 {
+		t.Errorf("patched id = %d", id)
+	}
+	if b := dec.Bytes(); len(b) != 8 || string(b[4:]) != "body" {
+		t.Errorf("in-place field decodes as %q", b)
+	}
+	if dec.Err() != nil || dec.Remaining() != 0 {
+		t.Errorf("truncated frame: err %v, %d trailing bytes", dec.Err(), dec.Remaining())
+	}
+}
+
+// TestBytesAliasIsCapped: a slice Bytes returns aliases the buffer but
+// cannot be appended into the fields that follow it.
+func TestBytesAliasIsCapped(t *testing.T) {
+	enc := NewEncoder(0)
+	enc.PutBytes([]byte("ab"))
+	enc.PutString("next")
+	buf := enc.Bytes()
+	dec := NewDecoder(buf)
+	b := dec.Bytes()
+	if &b[0] != &buf[4] {
+		t.Fatal("Bytes copied instead of aliasing the buffer")
+	}
+	_ = append(b, "XXXX"...)
+	if s := dec.String(); s != "next" {
+		t.Fatalf("append to an aliased field overwrote the next one: %q", s)
+	}
+}
+
 // property: any sequence of (u64, string, bytes, f64) encodes and decodes
 // identically.
 func TestQuickRoundTrip(t *testing.T) {
