@@ -52,11 +52,15 @@ bench:
 # Per-layer micro-benchmarks of the chunk data plane, with -benchmem: wire
 # codec, chunk engines, rpc calls over the simulated fabric and TCP
 # loopback at 1 KiB / 64 KiB / 1 MiB (BenchmarkSimCall, BenchmarkTCPCall),
-# and a 64 KiB provider.get over TCP (BenchmarkProviderGet). B/op is the
-# rpc copy budget in numbers; the copy-budget tests gate it. The default
+# a 64 KiB provider.get over TCP (BenchmarkProviderGet), and the metadata
+# descents: a 1-chunk weave into a 13-level tree over the simulated rpc
+# (BenchmarkWeave, gets/op) and a GC sweep with N retained versions
+# (BenchmarkGCSweep, getnodes/op). B/op is the rpc copy budget in numbers;
+# the copy-budget tests gate it, and the weave and sweep RPC budgets are
+# gated by TestWeaveGetBudget and TestSweepGetNodesBudget. The default
 # BENCHTIME=1x is a smoke run; measure with e.g. BENCHTIME=2s.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/wire/ ./internal/chunk/ ./internal/rpc/ ./internal/provider/
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/wire/ ./internal/chunk/ ./internal/rpc/ ./internal/provider/ ./internal/meta/ ./internal/gc/
 
 # Crash-recovery end-to-end suite: kill -9 + restart of the version
 # manager and metadata providers, in-harness (mid-write-storm) and as real

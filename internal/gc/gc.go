@@ -9,13 +9,15 @@
 // Liveness is structural. Trees are persistent, so a pruned version's
 // nodes and chunks may still be referenced by retained snapshots; a node
 // or chunk of a pruned version is dead iff it is not reachable from ANY
-// retained version's tree. The live set is a union walk over every
-// retained snapshot (cheap: shared subtrees short-circuit on the visited
-// check, so cost tracks distinct live nodes, not versions × tree size),
-// which stays correct even when the retention floor lands on an aborted
-// version whose tree was never fully woven. The candidate set — what a
-// floor advance might free — is the old floor's reachable set plus the
-// owned subgraphs of the newly pruned versions; dead = candidates \ live.
+// retained version's tree. The live set is one multi-root walk over every
+// retained snapshot: each round fetches the frontier of all the trees at
+// once and shared subtrees are fetched once, so a sweep costs about one
+// batched round per tree level and fetches only the distinct live nodes,
+// not versions × tree size. It stays correct even when the retention
+// floor lands on an aborted version whose tree was never fully woven.
+// The candidate set — what a floor advance might free — is the old
+// floor's reachable set plus the owned subgraphs of the newly pruned
+// versions (one more multi-root walk); dead = candidates \ live.
 //
 // The orphan sweep handles the other leak: chunks uploaded ahead of
 // version assignment (phase 1 of the write protocol) whose writer aborted
@@ -55,8 +57,9 @@ import (
 type Config struct {
 	// RPC is the connection cache to run delete/list calls over.
 	RPC *rpc.Client
-	// Meta is the metadata DHT view (same ring as the clients').
-	Meta *meta.Client
+	// Meta is the metadata DHT view (same ring as the clients'), usually
+	// a *meta.Client.
+	Meta MetaStore
 	// VMAddr locates the version manager.
 	VMAddr string
 	// VMAddrs lists a replicated version-manager group (supersedes VMAddr
@@ -73,6 +76,14 @@ type Config struct {
 	// exceed the longest plausible write: phase-1 uploads happen before
 	// the version manager knows the write exists.
 	OrphanGrace time.Duration
+}
+
+// MetaStore is the sweeper's view of the metadata plane: the node store
+// its walks and identity weaves use, plus the deletes.
+type MetaStore interface {
+	meta.Store
+	DeleteNodes(keys []meta.NodeKey) (uint64, error)
+	DeleteBlob(blob uint64) (uint64, error)
 }
 
 // Stats counts what one sweep (or a Sweeper's lifetime) reclaimed.
@@ -262,11 +273,8 @@ func (s *Sweeper) sweepPruned(id uint64, status *vmanager.GCStatusResp) (Stats, 
 	if oldFloor >= newFloor {
 		return st, nil // nothing pending
 	}
-	byVersion := make(map[uint64]meta.WriteDesc, len(status.Versions))
-	for _, d := range status.Versions {
-		byVersion[d.Version] = d
-	}
-	live, err := s.collectRetainedLive(id, status)
+	byVersion := descsByVersion(status)
+	live, err := s.collectRetainedLive(id, status, byVersion)
 	if err != nil {
 		return st, err
 	}
@@ -274,10 +282,12 @@ func (s *Sweeper) sweepPruned(id uint64, status *vmanager.GCStatusResp) (Stats, 
 	if err != nil {
 		return st, fmt.Errorf("gc: candidate walk of blob %d v%d: %w", id, oldFloor, err)
 	}
+	pruned := make([]meta.Tree, 0, newFloor-oldFloor-1)
 	for v := oldFloor + 1; v < newFloor; v++ {
-		if err := candidates.AddOwned(s.cfg.Meta, id, v, byVersion[v].SizeChunks); err != nil {
-			return st, fmt.Errorf("gc: owned walk of blob %d v%d: %w", id, v, err)
-		}
+		pruned = append(pruned, meta.Tree{Version: v, SizeChunks: byVersion[v].SizeChunks})
+	}
+	if err := candidates.AddOwned(s.cfg.Meta, id, pruned); err != nil {
+		return st, fmt.Errorf("gc: owned walk of blob %d versions (%d,%d): %w", id, oldFloor, newFloor, err)
 	}
 	deadNodes, deadChunks := meta.DiffDead(candidates, live)
 	st.add(s.deleteChunks(deadChunks))
@@ -448,7 +458,7 @@ func (s *Sweeper) reclaimOrphans(id uint64, byAddr map[string][]chunk.Key) (Stat
 	if status.Deleted || status.Assigned != status.Published {
 		return st, nil
 	}
-	live, err := s.collectRetainedLive(id, &status)
+	live, err := s.collectRetainedLive(id, &status, descsByVersion(&status))
 	if err != nil {
 		return st, err
 	}
@@ -487,32 +497,41 @@ func (s *Sweeper) reclaimOrphans(id uint64, byAddr map[string][]chunk.Key) (Stat
 	return st, nil
 }
 
+// descsByVersion indexes a GC status's version descriptors by version.
+func descsByVersion(status *vmanager.GCStatusResp) map[uint64]meta.WriteDesc {
+	byVersion := make(map[uint64]meta.WriteDesc, len(status.Versions))
+	for _, d := range status.Versions {
+		byVersion[d.Version] = d
+	}
+	return byVersion
+}
+
 // collectRetainedLive walks EVERY retained version's full tree
-// [RetainFrom, Published] into one live set. Shared subtrees make the
-// union walk cost proportional to distinct live nodes, and anchoring on
-// all retained versions (not just the floor) keeps the sweep correct even
+// [RetainFrom, Published] into one live set, in one multi-root walk:
+// a round per tree level, not per level per version. Anchoring on all
+// retained versions (not just the floor) keeps the sweep correct even
 // when the floor is an aborted version with a missing or partial tree.
-func (s *Sweeper) collectRetainedLive(id uint64, status *vmanager.GCStatusResp) (*meta.LiveSet, error) {
-	live := meta.NewLiveSet()
+func (s *Sweeper) collectRetainedLive(id uint64, status *vmanager.GCStatusResp, byVersion map[uint64]meta.WriteDesc) (*meta.LiveSet, error) {
+	var trees []meta.Tree
 	for v := status.RetainFrom; v <= status.Published; v++ {
-		size, err := s.versionSize(id, v, status)
+		size, err := s.versionSize(id, v, byVersion)
 		if err != nil {
 			return nil, err
 		}
-		if err := meta.CollectLiveInto(live, s.cfg.Meta, id, v, size); err != nil {
-			return nil, fmt.Errorf("gc: live walk of blob %d v%d: %w", id, v, err)
-		}
+		trees = append(trees, meta.Tree{Version: v, SizeChunks: size})
+	}
+	live := meta.NewLiveSet()
+	if err := meta.CollectLiveInto(live, s.cfg.Meta, id, trees); err != nil {
+		return nil, fmt.Errorf("gc: live walk of blob %d versions [%d,%d]: %w", id, status.RetainFrom, status.Published, err)
 	}
 	return live, nil
 }
 
 // versionSize resolves a version's tree shape, preferring the descriptors
 // the GC status already carries over an extra RPC.
-func (s *Sweeper) versionSize(id, v uint64, status *vmanager.GCStatusResp) (uint64, error) {
-	for _, d := range status.Versions {
-		if d.Version == v {
-			return d.SizeChunks, nil
-		}
+func (s *Sweeper) versionSize(id, v uint64, byVersion map[uint64]meta.WriteDesc) (uint64, error) {
+	if d, ok := byVersion[v]; ok {
+		return d.SizeChunks, nil
 	}
 	var vi vmanager.VersionInfoResp
 	err := s.vm.Call(vmanager.MethodVersionInfo,

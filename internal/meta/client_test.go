@@ -19,7 +19,7 @@ type metaRig struct {
 	client  *meta.Client
 }
 
-func startMetaRig(t *testing.T, n, replication, cacheNodes int) *metaRig {
+func startMetaRig(t testing.TB, n, replication, cacheNodes int) *metaRig {
 	t.Helper()
 	fabric := netsim.NewFabric(netsim.Config{})
 	network := rpc.NewSimNetwork(fabric)

@@ -71,6 +71,13 @@ func (l *LiveSet) HasChunk(k chunk.Key) bool {
 	return ok
 }
 
+// Tree names one version's segment tree: a root of a multi-root walk.
+// Version 0 and empty trees contribute nothing.
+type Tree struct {
+	Version    uint64
+	SizeChunks uint64
+}
+
 // CollectLive walks the full tree of one version (a retention floor) and
 // returns every reachable node key and leaf chunk reference. Definitively
 // missing nodes (ErrNodeNotFound from every replica) are tolerated by
@@ -82,33 +89,31 @@ func (l *LiveSet) HasChunk(k chunk.Key) bool {
 // that version.
 func CollectLive(store Store, blob, version, sizeChunks uint64) (*LiveSet, error) {
 	live := NewLiveSet()
-	if err := CollectLiveInto(live, store, blob, version, sizeChunks); err != nil {
+	if err := CollectLiveInto(live, store, blob, []Tree{{version, sizeChunks}}); err != nil {
 		return nil, err
 	}
 	return live, nil
 }
 
-// CollectLiveInto folds one version's reachable set into an existing
-// LiveSet. Unioning several versions' walks this way is cheap: subtrees
-// shared between versions short-circuit on the already-visited check, so
-// the total cost is proportional to the number of distinct live nodes,
-// not versions times tree size. Walking every retained version (rather
-// than trusting the floor tree alone) is what makes the sweep safe when
-// the floor lands on an aborted version whose abort-repair never wove a
-// tree — an empty or partial floor tree then under-counts liveness, and
-// the union walk of the newer retained versions still protects everything
-// they reference.
-func CollectLiveInto(live *LiveSet, store Store, blob, version, sizeChunks uint64) error {
-	if version == 0 || sizeChunks == 0 {
-		return nil
-	}
+// CollectLiveInto folds the reachable sets of several versions' trees
+// into an existing LiveSet in ONE level-order walk: each round fetches the
+// frontier of every tree at once, so walking all retained versions costs
+// about one batched round per tree level, not one per level per version.
+// Subtrees shared between the trees (or already in the set) are fetched
+// once. Walking every retained version (rather than trusting the floor
+// tree alone) is what makes the sweep safe when the floor lands on an
+// aborted version whose abort-repair never wove a tree — an empty or
+// partial floor tree then under-counts liveness, and the newer retained
+// roots still protect everything they reference. On error the set is
+// incomplete and must be discarded.
+func CollectLiveInto(live *LiveSet, store Store, blob uint64, trees []Tree) error {
 	w := gcWalker{
 		store:  store,
 		set:    live,
 		desc:   "liveness",
-		follow: func(childVer uint64) bool { return childVer != ZeroVersion },
+		follow: func(_ NodeKey, childVer uint64) bool { return childVer != ZeroVersion },
 	}
-	return w.walk([]NodeKey{{Blob: blob, Version: version, Off: 0, Size: NextPow2(sizeChunks)}})
+	return w.walk(blob, trees)
 }
 
 // gcBatch bounds the node keys fetched per walk round (the GC twin of the
@@ -117,12 +122,14 @@ func CollectLiveInto(live *LiveSet, store Store, blob, version, sizeChunks uint6
 const gcBatch = specBudget
 
 // gcWalker descends segment trees for the GC analyses in level-order
-// batched rounds: each round's frontier goes to the store in one GetNodes
-// call (the DHT client turns that into one RPC per metadata provider), so
-// a full-tree walk costs O(providers × tree depth) round trips instead of
-// the O(nodes) a node-at-a-time walk paid. follow filters which child
-// labels are descended (everything non-zero for the liveness walk, only
-// the owner's label for the owned walk).
+// batched rounds over all of its roots: each round's frontier goes to the
+// store in one GetNodes call (the DHT client turns that into one RPC per
+// metadata provider), so a walk costs O(providers × tree depth) round
+// trips however many roots it starts from. follow filters which children
+// are descended, given the parent's key and the child's label (everything
+// non-zero for the liveness walk, only the parent's own label for the
+// owned walk). A key enters the set when it is queued, so it is queued —
+// and fetched — at most once per walk.
 //
 // The destructive-use contract is preserved PER KEY: the batched read
 // cannot distinguish "absent from the replica that answered" from "its
@@ -136,11 +143,28 @@ type gcWalker struct {
 	store  Store
 	set    *LiveSet
 	desc   string
-	follow func(childVer uint64) bool
+	follow func(parent NodeKey, childVer uint64) bool
+	// holes records the definitive holes met so far: they leave the set
+	// but must not be queued again.
+	holes map[NodeKey]struct{}
 }
 
-func (w *gcWalker) walk(frontier []NodeKey) error {
-	pending := frontier
+// enqueue queues k unless the walk (or the set it extends) already has it.
+func (w *gcWalker) enqueue(pending []NodeKey, k NodeKey) []NodeKey {
+	if _, hole := w.holes[k]; hole || w.set.Has(k) {
+		return pending
+	}
+	w.set.Nodes[k] = struct{}{}
+	return append(pending, k)
+}
+
+func (w *gcWalker) walk(blob uint64, trees []Tree) error {
+	var pending []NodeKey
+	for _, t := range trees {
+		if t.Version != ZeroVersion && t.SizeChunks > 0 {
+			pending = w.enqueue(pending, NodeKey{Blob: blob, Version: t.Version, Off: 0, Size: NextPow2(t.SizeChunks)})
+		}
+	}
 	for len(pending) > 0 {
 		batch := pending
 		if len(batch) > gcBatch {
@@ -160,65 +184,63 @@ func (w *gcWalker) walk(frontier []NodeKey) error {
 			if node == nil {
 				n, err := w.store.GetNode(key)
 				if errors.Is(err, ErrNodeNotFound) {
-					continue // definitive hole (crashed writer); references nothing
+					// Definitive hole (crashed writer); references nothing.
+					delete(w.set.Nodes, key)
+					if w.holes == nil {
+						w.holes = make(map[NodeKey]struct{})
+					}
+					w.holes[key] = struct{}{}
+					continue
 				}
 				if err != nil {
 					return fmt.Errorf("meta: %s walk at %s: %w", w.desc, key, err)
 				}
 				node = n
 			}
-			w.set.Nodes[key] = struct{}{}
 			if node.Leaf {
 				if !node.Chunk.IsZero() {
 					w.set.Chunks[node.Chunk.Key] = node.Chunk
 					if w.set.Leaves != nil {
-						// Uniqueness holds because the visited check above
-						// admits each node key at most once per walk.
+						// Each leaf key is queued once per walk, so it is
+						// recorded once.
 						w.set.Leaves[node.Chunk.Key] = append(w.set.Leaves[node.Chunk.Key], key)
 					}
 				}
 				continue
 			}
 			half := key.Size / 2
-			children := [2]NodeKey{
-				{Blob: key.Blob, Version: node.LeftVer, Off: key.Off, Size: half},
-				{Blob: key.Blob, Version: node.RightVer, Off: key.Off + half, Size: half},
+			if w.follow(key, node.LeftVer) {
+				pending = w.enqueue(pending, NodeKey{Blob: key.Blob, Version: node.LeftVer, Off: key.Off, Size: half})
 			}
-			for _, ck := range children {
-				if !w.follow(ck.Version) || w.set.Has(ck) {
-					continue // zero subtree, filtered label, or shared subtree already visited
-				}
-				pending = append(pending, ck)
+			if w.follow(key, node.RightVer) {
+				pending = w.enqueue(pending, NodeKey{Blob: key.Blob, Version: node.RightVer, Off: key.Off + half, Size: half})
 			}
 		}
 	}
 	return nil
 }
 
-// AddOwned folds version v's owned subgraph into the set: exactly the
-// nodes its writer wove, i.e. those labeled with the version. Within a
-// version's tree every owned node's parent is also owned (Weave builds
-// parents of everything it builds), so the enumeration descends from the
-// root and only follows children carrying the same version label.
-// Definitively missing nodes are skipped; transport failures abort, as in
-// CollectLive. Like CollectLive the walk is level-order and batched.
-func (l *LiveSet) AddOwned(store Store, blob, version, sizeChunks uint64) error {
-	if version == 0 || sizeChunks == 0 {
-		return nil
-	}
+// AddOwned folds the owned subgraphs of several versions into the set in
+// one walk: exactly the nodes each version's writer wove, i.e. those
+// labeled with the version. Within a version's tree every owned node's
+// parent is also owned (Weave builds parents of everything it builds), so
+// the enumeration descends from each root and only follows children
+// carrying their parent's label. Definitively missing nodes are skipped;
+// transport failures abort, as in CollectLiveInto.
+func (l *LiveSet) AddOwned(store Store, blob uint64, trees []Tree) error {
 	w := gcWalker{
 		store:  store,
 		set:    l,
 		desc:   "owned",
-		follow: func(childVer uint64) bool { return childVer == version },
+		follow: func(parent NodeKey, childVer uint64) bool { return childVer == parent.Version },
 	}
-	return w.walk([]NodeKey{{Blob: blob, Version: version, Off: 0, Size: NextPow2(sizeChunks)}})
+	return w.walk(blob, trees)
 }
 
 // VersionNodes enumerates one version's owned subgraph standalone.
 func VersionNodes(store Store, blob, version, sizeChunks uint64) ([]NodeKey, []ChunkRef, error) {
 	set := NewLiveSet()
-	if err := set.AddOwned(store, blob, version, sizeChunks); err != nil {
+	if err := set.AddOwned(store, blob, []Tree{{version, sizeChunks}}); err != nil {
 		return nil, nil, err
 	}
 	nodes := make([]NodeKey, 0, len(set.Nodes))

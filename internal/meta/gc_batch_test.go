@@ -40,7 +40,7 @@ func TestGCWalkRPCBound(t *testing.T) {
 
 	// AddOwned over the overwrite version obeys the same bound.
 	before := stats.GetNodesRPCs
-	if err := live.AddOwned(walker, blob, 2, size); err != nil {
+	if err := live.AddOwned(walker, blob, []meta.Tree{{Version: 2, SizeChunks: size}}); err != nil {
 		t.Fatal(err)
 	}
 	stats = walker.RPCStats()

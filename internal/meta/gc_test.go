@@ -124,7 +124,7 @@ func TestDiffDeadSparesSharedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates.AddOwned(store, 1, 2, 4)
+	candidates.AddOwned(store, 1, []Tree{{Version: 2, SizeChunks: 4}})
 
 	deadNodes, deadChunks := DiffDead(candidates, live)
 	// Dead: v1's overwritten spine (root, (0,2), leaf 0) and v2's whole
@@ -163,7 +163,7 @@ func TestDiffDeadAcrossTwoAdvances(t *testing.T) {
 	// First advance: 1 -> 3 (as in the sweep above).
 	live3, _ := CollectLive(store, 1, 3, 4)
 	candidates, _ := CollectLive(store, 1, 1, 4)
-	candidates.AddOwned(store, 1, 2, 4)
+	candidates.AddOwned(store, 1, []Tree{{Version: 2, SizeChunks: 4}})
 	deadNodes, _ := DiffDead(candidates, live3)
 	store.(*MemStore).DeleteNodes(deadNodes)
 
@@ -217,7 +217,7 @@ func TestSweepPreservesRetainedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates.AddOwned(store, 1, 2, 4)
+	candidates.AddOwned(store, 1, []Tree{{Version: 2, SizeChunks: 4}})
 	deadNodes, _ := DiffDead(candidates, live)
 	ms.DeleteNodes(deadNodes)
 
@@ -273,13 +273,13 @@ func TestUnionWalkSurvivesUnwovenFloorVersion(t *testing.T) {
 	// Floor = 2 (the unwoven aborted version). Union walk over retained
 	// versions 2 and 3.
 	live := NewLiveSet()
-	if err := CollectLiveInto(live, store, 1, 2, 4); err != nil {
+	if err := CollectLiveInto(live, store, 1, []Tree{{Version: 2, SizeChunks: 4}}); err != nil {
 		t.Fatalf("walk of unwoven floor: %v", err)
 	}
 	if len(live.Nodes) != 0 {
 		t.Fatalf("unwoven floor contributed %d nodes", len(live.Nodes))
 	}
-	if err := CollectLiveInto(live, store, 1, 3, 4); err != nil {
+	if err := CollectLiveInto(live, store, 1, []Tree{{Version: 3, SizeChunks: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	// v1's untouched right side must be protected via v3's references.

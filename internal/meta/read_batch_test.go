@@ -14,7 +14,7 @@ import (
 // newReaderClient builds a fresh metadata client over the rig's providers
 // — with its own empty cache — so reads start cold no matter what the
 // rig's writer client has cached.
-func newReaderClient(t *testing.T, rig *metaRig, replication, cacheNodes int) *meta.Client {
+func newReaderClient(t testing.TB, rig *metaRig, replication, cacheNodes int) *meta.Client {
 	t.Helper()
 	cli := rpc.NewClient(rig.network, 5*time.Second)
 	t.Cleanup(cli.Close)
@@ -29,7 +29,7 @@ type refWrite struct {
 }
 
 // weaveRefHistory weaves a sequentially published history into store.
-func weaveRefHistory(t *testing.T, store meta.Store, blob uint64, history []refWrite) {
+func weaveRefHistory(t testing.TB, store meta.Store, blob uint64, history []refWrite) {
 	t.Helper()
 	pubVersion, pubSize := uint64(0), uint64(0)
 	for _, w := range history {

@@ -85,6 +85,13 @@ type weaver struct {
 	in       WeaveInput
 	inflight []WriteDesc
 	out      []*Node
+	// pub holds the published-tree nodes fetched during this weave. Every
+	// untouched sibling of the write range is resolved by a descent from
+	// the published root, and all those descents run along the range's two
+	// boundary paths, so with the memo a weave fetches at most 2 × depth
+	// nodes. Nodes are immutable, so the memo never goes stale; it dies
+	// with the weave.
+	pub map[NodeKey]*Node
 }
 
 func overlaps(aLo, aHi, bLo, bHi uint64) bool { return aLo < bHi && bLo < aHi }
@@ -206,7 +213,7 @@ func (w *weaver) descendPublished(off, size uint64) (uint64, error) {
 			// Inside a zero subtree every descendant is zero.
 			return ZeroVersion, nil
 		}
-		node, err := w.store.GetNode(NodeKey{Blob: w.in.Blob, Version: curVer, Off: curOff, Size: curSize})
+		node, err := w.publishedNode(NodeKey{Blob: w.in.Blob, Version: curVer, Off: curOff, Size: curSize})
 		if err != nil {
 			return 0, fmt.Errorf("meta: descending published tree: %w", err)
 		}
@@ -223,4 +230,20 @@ func (w *weaver) descendPublished(off, size uint64) (uint64, error) {
 			curSize = half
 		}
 	}
+}
+
+// publishedNode fetches one published-tree node, at most once per weave.
+func (w *weaver) publishedNode(key NodeKey) (*Node, error) {
+	if n, ok := w.pub[key]; ok {
+		return n, nil
+	}
+	n, err := w.store.GetNode(key)
+	if err != nil {
+		return nil, err
+	}
+	if w.pub == nil {
+		w.pub = make(map[NodeKey]*Node)
+	}
+	w.pub[key] = n
+	return n, nil
 }

@@ -92,3 +92,73 @@ func TestWeaveThroughDHTClient(t *testing.T) {
 	}
 
 }
+
+// TestWeaveGetBudget pins the weave's published-tree descent cost over
+// the DHT client (cache off, so every fetch is an RPC): each boundary path
+// of the written range is fetched once per weave, so a 1-chunk overwrite
+// of a 4096-chunk tree costs at most depth singleton meta.get calls, and a
+// range write at most 2 × depth.
+func TestWeaveGetBudget(t *testing.T) {
+	const size = 4096
+	depth := int64(treeDepth(size))
+	rig := startMetaRig(t, 2, 1, 0)
+	const blob = 78
+	weaveRefHistory(t, rig.client, blob, []refWrite{{version: 1, start: 0, end: size, sizeChunks: size}})
+
+	for _, tc := range []struct {
+		name       string
+		start, end uint64
+		bound      int64
+	}{
+		{"one-chunk", 1234, 1235, depth},
+		{"range", 777, 3001, 2 * depth},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			writer := newReaderClient(t, rig, 1, 0)
+			nodes, _, err := meta.Weave(writer, meta.WeaveInput{
+				Blob: blob, Version: 2,
+				StartChunk: tc.start, EndChunk: tc.end, SizeChunks: size,
+				Leaves:     make([]meta.ChunkRef, tc.end-tc.start),
+				PubVersion: 1, PubSizeChunks: size,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nodes) == 0 {
+				t.Fatal("weave emitted no nodes")
+			}
+			st := writer.RPCStats()
+			if st.GetRPCs > tc.bound {
+				t.Errorf("weave of [%d,%d) issued %d meta.get RPCs, budget %d", tc.start, tc.end, st.GetRPCs, tc.bound)
+			}
+			t.Logf("weave of [%d,%d): %d meta.get RPCs (budget %d)", tc.start, tc.end, st.GetRPCs, tc.bound)
+		})
+	}
+}
+
+// BenchmarkWeave weaves 1-chunk overwrites into a 13-level (4096-chunk)
+// tree through the DHT client over the simulated rpc fabric, metadata
+// cache off: the weave step of a small durable write. gets/op is the
+// published-tree meta.get calls per weave.
+func BenchmarkWeave(b *testing.B) {
+	const size = 4096
+	rig := startMetaRig(b, 2, 1, 0)
+	const blob = 79
+	weaveRefHistory(b, rig.client, blob, []refWrite{{version: 1, start: 0, end: size, sizeChunks: size}})
+	writer := newReaderClient(b, rig, 1, 0)
+	leaves := make([]meta.ChunkRef, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := uint64(i*37) % size
+		if _, _, err := meta.Weave(writer, meta.WeaveInput{
+			Blob: blob, Version: uint64(2 + i),
+			StartChunk: start, EndChunk: start + 1, SizeChunks: size,
+			Leaves:     leaves,
+			PubVersion: 1, PubSizeChunks: size,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(writer.RPCStats().GetRPCs)/float64(b.N), "gets/op")
+}

@@ -358,10 +358,13 @@ func (e *Engine) repairBlob(id uint64, ps *passState, st *Stats) error {
 	}
 
 	// The placement scan piggybacks on the GC liveness walk: the same
-	// batched union walk over every retained version, with leaf tracking
-	// on, yields chunk → (replica set, referencing leaves) in
-	// O(providers × depth) RPC rounds.
-	live := meta.NewLiveSet().TrackLeaves()
+	// multi-root walk over every retained version, with leaf tracking on,
+	// yields chunk → (replica set, referencing leaves). It fetches each
+	// live node once, in one batched round per tree level across all the
+	// retained versions (more only where a level holds over 16k keys):
+	// O(providers × depth) RPCs per blob, however many versions it
+	// retains.
+	var trees []meta.Tree
 	for v := status.RetainFrom; v <= status.Published; v++ {
 		size, ok := sizes[v]
 		if !ok {
@@ -372,9 +375,11 @@ func (e *Engine) repairBlob(id uint64, ps *passState, st *Stats) error {
 			}
 			size = vi.SizeChunks
 		}
-		if err := meta.CollectLiveInto(live, e.cfg.Meta, id, v, size); err != nil {
-			return fmt.Errorf("placement walk v%d: %w", v, err)
-		}
+		trees = append(trees, meta.Tree{Version: v, SizeChunks: size})
+	}
+	live := meta.NewLiveSet().TrackLeaves()
+	if err := meta.CollectLiveInto(live, e.cfg.Meta, id, trees); err != nil {
+		return fmt.Errorf("placement walk: %w", err)
 	}
 
 	repl := int(info.Replication)
